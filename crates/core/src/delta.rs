@@ -36,12 +36,13 @@
 //! bit-identity against from-scratch runs for every change kind.
 
 use crate::api::{VerificationOutcome, YuOptions, YuVerifier};
+use crate::check::{cut_after_first_violation, req_key, CheckUnit, ReqKey};
 use crate::equivalence::{global_groups_classified, AggStats, FlowGroup};
 use crate::exec::{simulate_flow_traced, ExecOptions};
-use crate::verify::{check_requirement, Violation};
+use crate::verify::Violation;
 use std::collections::HashMap;
 use std::time::Instant;
-use yu_mtbdd::Ratio;
+use yu_analysis::ReqClass;
 use yu_net::{
     ChangeError, ChangeSet, Flow, Impact, LoadPoint, Network, Prefix, PrefixTrie, Tlp, TlpReq,
 };
@@ -73,14 +74,6 @@ struct CachedVerdict {
     agg: AggStats,
 }
 
-/// Cache key of a requirement: the verdict is a pure function of the
-/// (canonical) load at the point and the bounds.
-type ReqKey = (LoadPoint, Option<Ratio>, Option<Ratio>);
-
-fn req_key(req: &TlpReq) -> ReqKey {
-    (req.point, req.min.clone(), req.max.clone())
-}
-
 /// The grouping key of one flow under the active equivalence setting.
 /// Mirrors [`global_groups_classified`] exactly (longest-match prefix
 /// class) so key-matching reproduces the scratch grouping; without
@@ -104,11 +97,9 @@ pub struct IncrementalVerifier {
     /// Last generation that dirtied each load point (absent = never).
     point_epoch: HashMap<LoadPoint, u64>,
     verdicts: HashMap<ReqKey, CachedVerdict>,
-    /// `true` = requirement proven safe by preflight (pruned).
-    preflight_cache: HashMap<ReqKey, bool>,
-    /// Whether `preflight_cache` still matches the current network and
-    /// flows (its bounds inputs).
-    preflight_valid: bool,
+    /// Preflight classification per requirement, cleared whenever the
+    /// network or the flows (its bounds inputs) change.
+    preflight_cache: HashMap<ReqKey, ReqClass>,
     last_delta: DeltaStats,
 }
 
@@ -134,7 +125,6 @@ impl IncrementalVerifier {
             point_epoch: HashMap::new(),
             verdicts: HashMap::new(),
             preflight_cache: HashMap::new(),
-            preflight_valid: false,
             last_delta: DeltaStats {
                 recomputed_groups: groups,
                 full_rebuild: true,
@@ -218,7 +208,7 @@ impl IncrementalVerifier {
             }
             if impact.routing || impact.flows {
                 // The preflight bounds read the network and the flows.
-                self.preflight_valid = false;
+                self.preflight_cache.clear();
             }
             self.tlp = tlp;
             drop(inv);
@@ -268,7 +258,6 @@ impl IncrementalVerifier {
         self.verdicts.clear();
         self.point_epoch.clear();
         self.preflight_cache.clear();
-        self.preflight_valid = false;
     }
 
     /// Marks one load point dirty: bump its epoch (invalidating cached
@@ -445,115 +434,70 @@ impl IncrementalVerifier {
         }
     }
 
-    /// The preflight pass with per-requirement caching: classifications
-    /// are reused while their bounds inputs (network, flows) are
-    /// unchanged; only missing requirements are classified, against a
-    /// preflight instance built on demand. Pruning decisions are
-    /// bit-identical to [`YuVerifier`]'s batch preflight because the
-    /// classifier is deterministic in the same inputs.
-    fn preflight_kept_cached(&mut self) -> (Vec<TlpReq>, usize) {
-        if !self.v.opts.static_prune || self.tlp.reqs.is_empty() {
-            return (self.tlp.reqs.clone(), 0);
-        }
-        let _stage = yu_telemetry::span("preflight");
-        if !self.preflight_valid {
-            self.preflight_cache.clear();
-            self.preflight_valid = true;
-        }
-        let missing: Vec<&TlpReq> = self
-            .tlp
-            .reqs
-            .iter()
-            .filter(|r| !self.preflight_cache.contains_key(&req_key(r)))
-            .collect();
-        if !missing.is_empty() {
-            let flows: Vec<Flow> = self
-                .v
-                .groups
-                .iter()
-                .map(|g| {
-                    let mut f = g.rep.clone();
-                    f.volume = g.volume.clone();
-                    f
-                })
-                .collect();
-            let cfg = yu_analysis::PreflightConfig {
-                k: self.v.opts.k,
-                mode: self.v.opts.mode,
-                max_hops: self.v.opts.max_hops,
-            };
-            let mut pf = yu_analysis::Preflight::new(&self.v.net, &flows, cfg);
-            for (ix, req) in missing.into_iter().enumerate() {
-                let classification = pf.classify_req(ix, req);
-                let safe = matches!(classification.class, yu_analysis::ReqClass::ProvenSafe);
-                if safe && yu_mtbdd::audit_enabled() {
-                    yu_analysis::check_certificate(&self.v.net, &flows, req, cfg, &classification)
-                        .unwrap_or_else(|e| {
-                            panic!("preflight certificate failed its independent check: {e}")
-                        });
-                }
-                self.preflight_cache.insert(req_key(req), safe);
-            }
-        }
-        let mut kept = Vec::with_capacity(self.tlp.reqs.len());
-        let mut pruned = 0usize;
-        for req in &self.tlp.reqs {
-            if self.preflight_cache[&req_key(req)] {
-                pruned += 1;
-            } else {
-                kept.push(req.clone());
-            }
-        }
-        (kept, pruned)
-    }
-
     /// Re-verifies the current TLP, answering unchanged requirements from
-    /// the verdict cache and re-aggregating only dirtied load points. The
-    /// outcome (violations, per-point statistics, prune count) is
-    /// bit-identical to a from-scratch [`YuVerifier::verify`] on the same
-    /// inputs.
+    /// the verdict cache and checking the rest — only dirtied load points
+    /// are re-aggregated. The outcome (violations, per-point statistics,
+    /// prune count) is bit-identical to a from-scratch
+    /// [`YuVerifier::verify`] on the same inputs.
     pub fn verify(&mut self) -> VerificationOutcome {
         let t0 = Instant::now();
         let verify_span = yu_telemetry::span("verify");
-        let (kept, pruned) = self.preflight_kept_cached();
-        let mut violations = Vec::new();
-        let mut per_point = HashMap::new();
-        for req in &kept {
-            let key = req_key(req);
+        let (kept, pruned) = self.v.preflight(&self.tlp.reqs, &mut self.preflight_cache);
+        // Answer verdict-cache hits here; the misses go to the check
+        // stage. Under early stop, nothing after the first cached
+        // violation is checked, as a sequential scan would have stopped.
+        let early_stop = self.v.opts.early_stop;
+        let mut units = Vec::new();
+        let mut misses: Vec<usize> = Vec::new();
+        for (ix, req) in kept.iter().enumerate() {
             let epoch = self.point_epoch.get(&req.point).copied().unwrap_or(0);
-            let cached = self
+            match self
                 .verdicts
-                .get(&key)
+                .get(&req_key(req))
                 .filter(|c| c.epoch == epoch)
-                .cloned();
-            let (violation, agg) = match cached {
+            {
                 Some(c) => {
-                    self.last_delta.reused_reqs += 1;
-                    (c.violation, c.agg)
+                    let violated = c.violation.is_some();
+                    units.push(CheckUnit {
+                        req_ix: ix,
+                        point: req.point,
+                        violations: c.violation.clone().into_iter().collect(),
+                        agg: c.agg,
+                        wall_us: 0,
+                        nodes_delta: 0,
+                    });
+                    if early_stop && violated {
+                        break;
+                    }
                 }
-                None => {
-                    self.last_delta.rechecked_reqs += 1;
-                    let (tau, agg) = self.v.load_with_stats(req.point);
-                    let violation =
-                        check_requirement(&mut self.v.m, &self.v.fv, tau, req, self.v.opts.k);
-                    self.verdicts.insert(
-                        key,
-                        CachedVerdict {
-                            epoch,
-                            violation: violation.clone(),
-                            agg,
-                        },
-                    );
-                    (violation, agg)
-                }
-            };
-            per_point.insert(req.point, agg);
-            if let Some(v) = violation {
-                violations.push(v);
-                if self.v.opts.early_stop {
-                    break;
-                }
+                None => misses.push(ix),
             }
+        }
+        let missed: Vec<TlpReq> = misses.iter().map(|&ix| kept[ix].clone()).collect();
+        for mut u in self.v.check(&missed, 1) {
+            u.req_ix = misses[u.req_ix];
+            units.push(u);
+        }
+        units.sort_by_key(|u| u.req_ix);
+        if early_stop {
+            cut_after_first_violation(&mut units);
+        }
+        // Book and cache the verdicts in requirement order, so a
+        // requirement repeated in the TLP reuses its first copy's verdict.
+        for u in &units {
+            let key = req_key(&kept[u.req_ix]);
+            let epoch = self.point_epoch.get(&u.point).copied().unwrap_or(0);
+            if self.verdicts.get(&key).is_some_and(|c| c.epoch == epoch) {
+                self.last_delta.reused_reqs += 1;
+                continue;
+            }
+            self.last_delta.rechecked_reqs += 1;
+            let cached = CachedVerdict {
+                epoch,
+                violation: u.violations.first().cloned(),
+                agg: u.agg,
+            };
+            self.verdicts.insert(key, cached);
         }
         yu_telemetry::counter("delta.reused_reqs", self.last_delta.reused_reqs as u64);
         yu_telemetry::counter(
@@ -567,7 +511,6 @@ impl IncrementalVerifier {
                 .add(self.last_delta.rechecked_reqs as u64);
         });
         drop(verify_span);
-        self.v
-            .finish_outcome(violations, per_point, t0.elapsed(), pruned)
+        self.v.finish_outcome(units, t0.elapsed(), pruned)
     }
 }

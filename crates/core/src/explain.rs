@@ -33,7 +33,7 @@
 
 use crate::api::YuVerifier;
 use crate::exec::selection_guards;
-use crate::verify::Violation;
+use crate::verify::{reduced_load, Violation};
 use serde::Serialize;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -437,7 +437,7 @@ impl YuVerifier {
     pub fn point_envelope(&mut self, req: &TlpReq) -> PointEnvelope {
         let tau = self.load_mtbdd(req.point);
         let k = self.options().k;
-        let reduced = self.m.kreduce(tau, k);
+        let reduced = reduced_load(&mut self.m, tau, k, self.opts.use_kreduce);
         let (min, max) = self.m.terminal_range(reduced);
         let as_ratio = |t: Term| match t {
             Term::Num(v) => v,

@@ -25,6 +25,7 @@
 
 pub mod api;
 pub mod attribution;
+mod check;
 pub mod delta;
 pub mod equivalence;
 pub mod exec;
@@ -46,6 +47,6 @@ pub use explain::{
     explanation_dot, trace_flow, Explanation, FlowBlame, FlowPathDiff, PathOutcome, PointEnvelope,
     ReplayCheck, TracedPath, MAX_TRACED_PATHS,
 };
-pub use parallel::{check_sharded, execute_sharded, CheckCtx, CheckShard, CheckUnit, Shard};
+pub use parallel::{execute_sharded, Shard};
 pub use trace::{RouteTrace, TraceAnswer, TraceQuery};
-pub use verify::{check_requirement, check_tlp, enumerate_violations, Violation};
+pub use verify::{check_requirement, Violation};

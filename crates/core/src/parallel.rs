@@ -9,7 +9,7 @@
 //!   ([`execute_sharded`]).
 //! * **Checking** (§4.5/§5.3): every requirement's load point is
 //!   aggregated and scanned independently, so requirements are dealt the
-//!   same way ([`check_sharded`]).
+//!   same way (`check_sharded`, driven by the verifier's check stage).
 //!
 //! In both stages **each worker owns a private [`Mtbdd`] arena** — no
 //! locks, no contended unique tables, no sharing of apply caches. An
@@ -25,15 +25,16 @@
 //! A check worker goes the other way: the main arena is **frozen** once
 //! ([`yu_mtbdd::Mtbdd::freeze`]) and every worker opens a zero-copy
 //! overlay on it ([`Mtbdd::with_base`]). Main-arena handles stay valid
-//! inside the overlay, so workers use the class representatives
-//! *directly* — no per-worker import, no memo tables, no duplicated
-//! diagrams — and allocate only their private result nodes while
-//! aggregating with the fused n-ary `Σ∘KREDUCE` kernel and scanning
-//! terminals locally. Because hash-consed MTBDDs with a fixed variable
-//! order are canonical and `KREDUCE` is canonicalizing, the reduced
-//! diagram a worker scans denotes exactly the function the sequential
-//! checker builds, so the returned [`Violation`]s are **bit-identical**
-//! to a sequential run — independent of worker count and scheduling.
+//! inside the overlay, so workers fold the link-local class
+//! representatives the main thread computed *directly* — no per-worker
+//! import, no memo tables, no duplicated diagrams — and allocate only
+//! their private result nodes while aggregating with the fused n-ary
+//! `Σ∘KREDUCE` kernel and scanning terminals locally. Because
+//! hash-consed MTBDDs with a fixed variable order are canonical and
+//! `KREDUCE` is canonicalizing, the reduced diagram a worker scans
+//! denotes exactly the function the sequential checker builds, so the
+//! returned [`crate::Violation`]s are **bit-identical** to a sequential
+//! run — independent of worker count and scheduling.
 //!
 //! Per-worker `KREDUCE` before any merge is sound in both stages:
 //! k-failure equivalence is a congruence under pointwise `+`, `min`, and
@@ -42,14 +43,13 @@
 //! same final diagrams.
 
 use crate::attribution::{flow_label, EntityCost};
-use crate::equivalence::{AggStats, FlowGroup};
+use crate::check::CheckUnit;
+use crate::equivalence::FlowGroup;
 use crate::exec::{simulate_flow, simulate_flow_traced, ExecOptions, FlowStf};
 use crate::trace::RouteTrace;
-use crate::verify::{check_requirement, enumerate_violations, Violation};
-use std::collections::HashMap;
 use std::time::Instant;
-use yu_mtbdd::{Mtbdd, MtbddStats, NodeRef, Ratio, Term};
-use yu_net::{FailureMode, FailureVars, Network, TlpReq};
+use yu_mtbdd::{Mtbdd, MtbddStats};
+use yu_net::{FailureMode, FailureVars, Network};
 use yu_routing::SymbolicRoutes;
 
 /// Runs `job(w)` for `w in 0..workers` on scoped OS threads, each with
@@ -181,182 +181,40 @@ pub fn execute_sharded(
     )
 }
 
-/// Read-only view of the verifier state a check worker needs: the main
-/// arena, the failure-variable allocation, and the executed flow groups.
-pub struct CheckCtx<'a> {
-    /// The main arena, shared immutably across the pool.
-    pub m: &'a Mtbdd,
-    /// Failure variables (for decoding violating paths into scenarios).
-    pub fv: &'a FailureVars,
-    /// Per-group symbolic traffic functions (handles of `m`).
-    pub results: &'a [FlowStf],
-    /// The flow groups, parallel to `results`.
-    pub groups: &'a [FlowGroup],
-    /// Group contributions link-locally by STF handle (§5.3).
-    pub use_link_local_equiv: bool,
-    /// Apply KREDUCE throughout (the fused kernel when aggregating).
-    pub use_kreduce: bool,
-    /// The failure budget.
-    pub k: u32,
-}
-
-/// The verdict for one requirement, tagged with its index in the TLP.
-pub struct CheckUnit {
-    /// Index of the requirement in `tlp.reqs`.
-    pub req_ix: usize,
-    /// Violations found for it (at most one unless enumerating).
-    pub violations: Vec<Violation>,
-    /// Aggregation statistics of its load point (Figs. 13/14 data).
-    pub agg: AggStats,
-    /// Wall-clock the worker spent aggregating and scanning it, in
-    /// microseconds.
-    pub wall_us: u64,
-    /// Net growth of the worker's private arena while processing it.
-    pub nodes_delta: i64,
-}
-
-/// The result of one check worker: its verdicts and its private arena's
-/// final statistics (the arena itself is dropped — violations are plain
-/// data, no handles escape).
-pub struct CheckShard {
-    /// One entry per requirement this worker checked, in ascending
-    /// `req_ix` order by construction.
-    pub units: Vec<CheckUnit>,
-    /// Statistics of the worker's private arena.
-    pub stats: MtbddStats,
-}
-
-/// Checks `reqs` across `workers` threads (round-robin by requirement
-/// index). The main arena is frozen once; each worker opens a zero-copy
-/// overlay on the shared frozen base and allocates only its private
-/// result nodes. With `max_violations <= 1` each unit carries at most
-/// the first (fewest-failure) violation, exactly like
-/// [`check_requirement`]; larger values enumerate per requirement like
-/// [`enumerate_violations`].
-///
-/// The returned violations are bit-identical to what the sequential
-/// checker produces for the same requirements (see the module docs).
+/// Runs `unit(overlay, ix)` for every requirement index `ix < reqs`
+/// across `workers` threads (round-robin by index), each on its own
+/// overlay of the once-frozen main arena `m`. Returns the units in index
+/// order and every overlay's final statistics.
 ///
 /// # Panics
 /// Propagates panics from worker threads (including audit failures when
 /// `YU_AUDIT=1`).
-pub fn check_sharded(
-    ctx: &CheckCtx<'_>,
-    reqs: &[TlpReq],
-    max_violations: usize,
+pub(crate) fn check_sharded(
+    m: &Mtbdd,
+    reqs: usize,
     workers: usize,
-) -> Vec<CheckShard> {
-    let workers = workers.clamp(1, reqs.len().max(1));
+    unit: impl Fn(&mut Mtbdd, usize) -> CheckUnit + Sync,
+) -> (Vec<CheckUnit>, Vec<MtbddStats>) {
+    let workers = workers.clamp(1, reqs.max(1));
     let t_freeze = Instant::now();
-    let frozen = ctx.m.freeze();
+    let frozen = m.freeze();
     yu_telemetry::counter("check.freeze_us", t_freeze.elapsed().as_micros() as u64);
-    let frozen = &frozen;
-    run_worker_pool(
+    let (frozen, unit) = (&frozen, &unit);
+    let shards = run_worker_pool(
         workers,
         |w| format!("check-worker-{w}"),
         "check.worker",
         move |w| {
             let mut m = Mtbdd::with_base(frozen);
-            let mut units = Vec::new();
-            for (ix, req) in reqs.iter().enumerate().skip(w).step_by(workers) {
-                units.push(check_unit(ctx, &mut m, ix, req, max_violations));
-            }
-            CheckShard {
-                units,
-                stats: m.stats(),
-            }
+            let units: Vec<CheckUnit> = (w..reqs)
+                .step_by(workers)
+                .map(|ix| unit(&mut m, ix))
+                .collect();
+            (units, m.stats())
         },
-    )
-}
-
-/// Aggregates and checks one requirement in the worker overlay `m`.
-///
-/// The link-local classing walks `(results, groups)` in group order
-/// against main-arena handles — the same first-seen class order and the
-/// same volume sums as the sequential `load_with_stats`. The class
-/// representatives are then used directly (the overlay resolves base
-/// handles) and combined with the fused n-ary `Σ∘KREDUCE` kernel.
-fn check_unit(
-    ctx: &CheckCtx<'_>,
-    m: &mut Mtbdd,
-    ix: usize,
-    req: &TlpReq,
-    max_violations: usize,
-) -> CheckUnit {
-    let point = req.point;
-    let _stage = yu_telemetry::span_detail("aggregate", || format!("{point:?}"));
-    let t_unit = Instant::now();
-    let nodes_before = m.stats().nodes_created as i64;
-    let zero = ctx.m.zero();
-    let mut classes: Vec<(usize, Ratio)> = Vec::new();
-    let mut flows = 0usize;
-    let mut by_stf: HashMap<NodeRef, usize> = HashMap::new();
-    for (gi, (stf, g)) in ctx.results.iter().zip(ctx.groups).enumerate() {
-        let handle = stf.at(ctx.m, point);
-        if handle == zero || g.volume.is_zero() {
-            continue;
-        }
-        flows += 1;
-        if ctx.use_link_local_equiv {
-            match by_stf.entry(handle) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    classes[*e.get()].1 += &g.volume;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(classes.len());
-                    classes.push((gi, g.volume.clone()));
-                }
-            }
-        } else {
-            classes.push((gi, g.volume.clone()));
-        }
-    }
-    let agg = AggStats {
-        flows,
-        classes: classes.len(),
-    };
-    let k = ctx.use_kreduce.then_some(ctx.k);
-    let mut level: Vec<NodeRef> = Vec::with_capacity(classes.len());
-    for (rep, vol) in classes {
-        // Base handles are valid in the overlay: no import, no copy.
-        let src = ctx.results[rep].at(ctx.m, point);
-        let scaled = match k {
-            Some(k) => m.scale_kreduce(src, Term::Num(vol), k),
-            None => m.scale(src, Term::Num(vol)),
-        };
-        level.push(scaled);
-    }
-    let tau = match k {
-        // The n-ary fused kernel materializes βₖ(Σ) directly — no
-        // pairwise partial sums ever hit the arena.
-        Some(k) => m.sum_kreduce(&level, k),
-        None => {
-            while level.len() > 1 {
-                let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                for pair in level.chunks(2) {
-                    next.push(if pair.len() == 2 {
-                        m.add(pair[0], pair[1])
-                    } else {
-                        pair[0]
-                    });
-                }
-                level = next;
-            }
-            level.pop().unwrap_or_else(|| m.zero())
-        }
-    };
-    let violations = if max_violations <= 1 {
-        check_requirement(m, ctx.fv, tau, req, ctx.k)
-            .into_iter()
-            .collect()
-    } else {
-        enumerate_violations(m, ctx.fv, tau, req, ctx.k, max_violations)
-    };
-    CheckUnit {
-        req_ix: ix,
-        violations,
-        agg,
-        wall_us: t_unit.elapsed().as_micros() as u64,
-        nodes_delta: m.stats().nodes_created as i64 - nodes_before,
-    }
+    );
+    let (units, stats): (Vec<Vec<CheckUnit>>, Vec<MtbddStats>) = shards.into_iter().unzip();
+    let mut units: Vec<CheckUnit> = units.into_iter().flatten().collect();
+    units.sort_by_key(|u| u.req_ix);
+    (units, stats)
 }

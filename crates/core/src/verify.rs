@@ -9,7 +9,7 @@
 
 use serde::Serialize;
 use yu_mtbdd::{Mtbdd, NodeRef, Ratio, Term};
-use yu_net::{FailureVars, LoadPoint, Scenario, Tlp, TlpReq, Topology};
+use yu_net::{FailureVars, LoadPoint, Scenario, TlpReq, Topology};
 
 /// A verified TLP violation: a concrete `≤ k`-failure scenario under which
 /// the load at a point leaves its required range.
@@ -58,6 +58,21 @@ pub fn check_requirement(
     req: &TlpReq,
     k: u32,
 ) -> Option<Violation> {
+    let reduced = reduced_load(m, tau, k, false);
+    scan(m, fv, reduced, req, None).pop()
+}
+
+/// `tau` in the k-reduced form the terminal scan needs. With
+/// `already_reduced` (aggregation's fused kernels return `βₖ(τ)`), a
+/// second pass would be a no-op, so the auditor re-checks the claim
+/// instead. Otherwise KREDUCE runs under the `kreduce` stage span.
+pub(crate) fn reduced_load(m: &mut Mtbdd, tau: NodeRef, k: u32, already_reduced: bool) -> NodeRef {
+    if already_reduced {
+        if yu_mtbdd::audit_enabled() {
+            assert_eq!(m.kreduce(tau, k), tau, "aggregated load is not k-reduced");
+        }
+        return tau;
+    }
     // node_count is O(|tau|): only pay for the before/after reduction
     // ratio when telemetry is recording.
     let count_nodes = yu_telemetry::enabled();
@@ -71,46 +86,49 @@ pub fn check_requirement(
     if count_nodes {
         yu_telemetry::counter("kreduce.nodes_after", m.node_count(reduced) as u64);
     }
-    let min = req.min.clone();
-    let max = req.max.clone();
-    let violates = move |t: Term| match t {
-        Term::Num(v) => {
-            min.as_ref().is_some_and(|lo| &v < lo) || max.as_ref().is_some_and(|hi| &v > hi)
-        }
-        Term::PosInf => true,
-    };
-    let path = m.find_path(reduced, violates)?;
-    let load = match &path.value {
-        Term::Num(v) => v.clone(),
-        Term::PosInf => unreachable!("traffic loads are finite"),
-    };
-    Some(Violation {
+    reduced
+}
+
+/// Scans the terminals of a k-reduced load for violations of `req`
+/// (Theorem 5.1). Without a `limit` it returns the first (fewest-failure)
+/// violating path's scenario. With one, it enumerates *every* violating
+/// `≤ k`-failure scenario (the reduced diagram's paths each encode at
+/// most k failures by Lemma 2, so the enumeration is exact), deduped on
+/// the decoded scenario (don't-care variables alive) and sorted by
+/// failure count, then by the scenario itself — fewest-failure triggers
+/// first, stable across runs — and truncates to `limit` *after* sorting.
+pub(crate) fn scan(
+    m: &Mtbdd,
+    fv: &FailureVars,
+    reduced: NodeRef,
+    req: &TlpReq,
+    limit: Option<usize>,
+) -> Vec<Violation> {
+    let violation = |path: &yu_mtbdd::Path, load: Ratio| Violation {
         point: req.point,
-        scenario: fv.scenario_of_path(&path),
+        scenario: fv.scenario_of_path(path),
         load,
         min: req.min.clone(),
         max: req.max.clone(),
-    })
-}
-
-/// Enumerates *every* violating `≤ k`-failure scenario for one
-/// requirement, up to `limit` (the reduced MTBDD's paths each encode at
-/// most k failures by Lemma 2, so the enumeration is exact — one entry
-/// per distinct decoded scenario whose don't-care variables are alive).
-/// Results are deduped on the concrete scenario and sorted by failure
-/// count, then by the scenario itself, so the fewest-failure triggers
-/// come first and the order is stable across runs; `limit` truncates
-/// *after* sorting. Operators use this to see the complete set of
-/// triggers, not just the first counterexample.
-pub fn enumerate_violations(
-    m: &mut Mtbdd,
-    fv: &FailureVars,
-    tau: NodeRef,
-    req: &TlpReq,
-    k: u32,
-    limit: usize,
-) -> Vec<Violation> {
-    let reduced = m.kreduce(tau, k);
+    };
+    let Some(limit) = limit else {
+        let min = req.min.clone();
+        let max = req.max.clone();
+        let violates = move |t: Term| match t {
+            Term::Num(v) => {
+                min.as_ref().is_some_and(|lo| &v < lo) || max.as_ref().is_some_and(|hi| &v > hi)
+            }
+            Term::PosInf => true,
+        };
+        return m
+            .find_path(reduced, violates)
+            .map(|path| match &path.value {
+                Term::Num(v) => violation(&path, v.clone()),
+                Term::PosInf => unreachable!("traffic loads are finite"),
+            })
+            .into_iter()
+            .collect();
+    };
     let mut out = Vec::new();
     for path in m.all_paths(reduced) {
         let load = match &path.value {
@@ -118,13 +136,7 @@ pub fn enumerate_violations(
             Term::PosInf => continue,
         };
         if !req.satisfied_by(load.clone()) {
-            out.push(Violation {
-                point: req.point,
-                scenario: fv.scenario_of_path(&path),
-                load,
-                min: req.min.clone(),
-                max: req.max.clone(),
-            });
+            out.push(violation(&path, load));
         }
     }
     // Distinct paths can decode to the same scenario set (don't-cares);
@@ -133,30 +145,6 @@ pub fn enumerate_violations(
     out.retain(|v| seen.insert(v.scenario.clone()));
     out.sort_by(|a, b| (a.scenario.count(), &a.scenario).cmp(&(b.scenario.count(), &b.scenario)));
     out.truncate(limit);
-    out
-}
-
-/// Checks a whole TLP given a function producing the aggregated load at
-/// each point. Stops early per point; with `early_stop` set, stops at the
-/// first violation overall.
-pub fn check_tlp(
-    m: &mut Mtbdd,
-    fv: &FailureVars,
-    tlp: &Tlp,
-    k: u32,
-    early_stop: bool,
-    mut load_at: impl FnMut(&mut Mtbdd, LoadPoint) -> NodeRef,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for req in &tlp.reqs {
-        let tau = load_at(m, req.point);
-        if let Some(v) = check_requirement(m, fv, tau, req, k) {
-            out.push(v);
-            if early_stop {
-                break;
-            }
-        }
-    }
     out
 }
 
@@ -211,27 +199,24 @@ mod tests {
         assert!(msg.contains("delivered@B"), "{msg}");
         assert!(msg.contains(">= 70"), "{msg}");
     }
-
-    #[test]
-    fn check_tlp_early_stop() {
-        let t = topo2();
-        let mut m = Mtbdd::new();
-        let fv = FailureVars::allocate(&mut m, &t, FailureMode::Links);
-        let hundred = m.constant(Ratio::int(100));
-        let tlp = Tlp::new()
-            .with(TlpReq::at_most(LoadPoint::Link(LinkId(0)), Ratio::int(50)))
-            .with(TlpReq::at_most(LoadPoint::Link(LinkId(1)), Ratio::int(50)));
-        let all = check_tlp(&mut m, &fv, &tlp, 1, false, |_, _| hundred);
-        assert_eq!(all.len(), 2);
-        let first = check_tlp(&mut m, &fv, &tlp, 1, true, |_, _| hundred);
-        assert_eq!(first.len(), 1);
-    }
 }
 
 #[cfg(test)]
 mod enumeration_tests {
     use super::*;
     use yu_mtbdd::Term;
+
+    fn enumerate_violations(
+        m: &mut Mtbdd,
+        fv: &FailureVars,
+        tau: NodeRef,
+        req: &TlpReq,
+        k: u32,
+        limit: usize,
+    ) -> Vec<Violation> {
+        let reduced = m.kreduce(tau, k);
+        scan(m, fv, reduced, req, Some(limit))
+    }
     use yu_net::{FailureMode, LinkId, LoadPoint, Topology, ULinkId};
 
     #[test]

@@ -62,8 +62,7 @@ pub struct TelemetrySummary {
     /// `apply_cache_hit_rate` = hits / (hits + misses) of the MTBDD apply
     /// cache; `import_memo_hit_rate` likewise for cross-arena import;
     /// `fused_cache_hit_rate` likewise for the fused ADD∘KREDUCE memo;
-    /// `check_import_memo_hit_rate` likewise for the per-check-worker
-    /// representative imports; `kreduce_reduction_ratio` = fraction of
+    /// `kreduce_reduction_ratio` = fraction of
     /// nodes *removed* by KREDUCE (`1 - after/before`). A rate is
     /// omitted when its inputs were never recorded.
     pub derived: BTreeMap<String, f64>,
@@ -225,11 +224,6 @@ fn derived_rates(counters: &BTreeMap<String, u64>) -> BTreeMap<String, f64> {
         "fused_cache_hit_rate",
         get("mtbdd.fused_cache_hits"),
         get("mtbdd.fused_cache_misses"),
-    );
-    rate(
-        "check_import_memo_hit_rate",
-        get("check.import_memo_hits"),
-        get("check.import_memo_misses"),
     );
     let before = get("kreduce.nodes_before");
     let after = get("kreduce.nodes_after");

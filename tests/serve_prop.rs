@@ -218,6 +218,7 @@ fn run_sequence(
         k: 1,
         mode,
         workers,
+        check_workers: workers,
         ..Default::default()
     };
     let mut rng = Rng(seed);

@@ -100,7 +100,7 @@ fn telemetry_on_off_runs_are_identical() {
             // The instrumented run must actually have recorded the
             // pipeline stages it claims to cover.
             let aggs = report.stage_aggs();
-            for stage in ["route_sim", "igp", "bgp", "exec", "verify", "kreduce"] {
+            for stage in ["route_sim", "igp", "bgp", "exec", "verify", "aggregate"] {
                 assert!(aggs.contains_key(stage), "missing stage span: {stage}");
             }
             let counters = report.counter_totals();
